@@ -524,13 +524,16 @@ fn sweep(parsed: &ParsedArgs) -> Result<String, CliError> {
 /// (via `--run-ms` or an HTTP `POST /v1/drain`).
 fn serve(parsed: &ParsedArgs) -> Result<String, CliError> {
     use fase_serve::{ServeConfig, ServePhase, Server};
+    let defaults = ServeConfig::default();
     let mut config = ServeConfig {
         addr: parsed.get("addr").unwrap_or("127.0.0.1:0").to_owned(),
-        workers: parsed.integer_or("workers", 2)?.max(1) as usize,
+        workers: parsed
+            .integer_or("workers", defaults.workers as u64)?
+            .max(1) as usize,
         cache_dir: parsed.get("cache-dir").map(std::path::PathBuf::from),
         default_deadline_ms: parsed.integer_or("default-deadline-ms", 60_000)?,
         drain_deadline_ms: parsed.integer_or("drain-deadline-ms", 10_000)?,
-        ..ServeConfig::default()
+        ..defaults
     };
     config.caps.per_tenant = parsed.integer_or("tenant-cap", 8)?.max(1) as usize;
     config.caps.global = parsed.integer_or("global-cap", 32)?.max(1) as usize;

@@ -2,9 +2,11 @@
 //! requests and responses over [`std::net::TcpStream`], nothing more.
 //!
 //! Limits are part of the robustness story: headers are capped at
-//! [`MAX_HEADER_BYTES`], bodies at [`MAX_BODY_BYTES`], and every socket
-//! carries read/write timeouts, so a slow or malicious client can tie up
-//! one handler thread for a bounded time only.
+//! [`MAX_HEADER_BYTES`], bodies at [`MAX_BODY_BYTES`], the whole request
+//! (head plus body) must arrive within [`IO_TIMEOUT`], and writes carry
+//! the same timeout, so a slow or malicious client can tie up one
+//! handler thread for a bounded time only — trickling one byte at a time
+//! does not extend the deadline.
 
 use std::fmt;
 use std::io::{Read, Write};
@@ -15,7 +17,7 @@ use std::time::Duration;
 pub const MAX_HEADER_BYTES: usize = 8 * 1024;
 /// Upper bound on a request body, in bytes.
 pub const MAX_BODY_BYTES: usize = 64 * 1024;
-/// Socket read/write timeout applied to every connection.
+/// Deadline for reading a whole request, and the socket write timeout.
 pub const IO_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Why an incoming request could not be read.
@@ -125,8 +127,34 @@ impl Response {
     }
 }
 
+/// The [`fase_obs::monotonic_ns`] instant `budget` from now.
+pub(crate) fn deadline_after(budget: Duration) -> u64 {
+    fase_obs::monotonic_ns().saturating_add(u64::try_from(budget.as_nanos()).unwrap_or(u64::MAX))
+}
+
+/// One `read` that may not outlive `deadline_ns` (a
+/// [`fase_obs::monotonic_ns`] instant): the socket timeout is set to the
+/// time remaining before every call.
+fn read_by(
+    stream: &mut TcpStream,
+    buf: &mut [u8],
+    deadline_ns: u64,
+    what: &str,
+) -> Result<usize, HttpError> {
+    let left = deadline_ns.saturating_sub(fase_obs::monotonic_ns());
+    if left == 0 {
+        return Err(HttpError::Io(format!("{what}: request deadline exceeded")));
+    }
+    stream
+        .set_read_timeout(Some(Duration::from_nanos(left)))
+        .map_err(|e| HttpError::Io(format!("{what}: {e}")))?;
+    stream
+        .read(buf)
+        .map_err(|e| HttpError::Io(format!("{what}: {e}")))
+}
+
 /// Reads until the end-of-headers marker, enforcing [`MAX_HEADER_BYTES`].
-fn read_head(stream: &mut TcpStream) -> Result<(Vec<u8>, Vec<u8>), HttpError> {
+fn read_head(stream: &mut TcpStream, deadline_ns: u64) -> Result<(Vec<u8>, Vec<u8>), HttpError> {
     let mut head = Vec::with_capacity(512);
     let mut chunk = [0u8; 512];
     loop {
@@ -139,9 +167,7 @@ fn read_head(stream: &mut TcpStream) -> Result<(Vec<u8>, Vec<u8>), HttpError> {
                 "headers exceed {MAX_HEADER_BYTES} bytes"
             )));
         }
-        let n = stream
-            .read(&mut chunk)
-            .map_err(|e| HttpError::Io(format!("read headers: {e}")))?;
+        let n = read_by(stream, &mut chunk, deadline_ns, "read headers")?;
         if n == 0 {
             return Err(HttpError::Malformed("connection closed mid-headers".into()));
         }
@@ -158,13 +184,19 @@ fn find_blank_line(buf: &[u8]) -> Option<usize> {
 ///
 /// # Errors
 ///
-/// * [`HttpError::Io`] — socket failure or timeout.
+/// * [`HttpError::Io`] — socket failure, or the request did not arrive
+///   within [`IO_TIMEOUT`].
 /// * [`HttpError::Malformed`] — not parseable as an HTTP/1.1 request.
 /// * [`HttpError::TooLarge`] — headers or body beyond the caps.
 pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
-    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+    read_request_within(stream, IO_TIMEOUT)
+}
+
+/// [`read_request`] with an explicit whole-request budget.
+fn read_request_within(stream: &mut TcpStream, budget: Duration) -> Result<Request, HttpError> {
+    let deadline_ns = deadline_after(budget);
     let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-    let (head, mut body) = read_head(stream)?;
+    let (head, mut body) = read_head(stream, deadline_ns)?;
     let head = String::from_utf8_lossy(&head).into_owned();
     let mut lines = head.split("\r\n");
     let request_line = lines
@@ -199,9 +231,7 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
     }
     while body.len() < content_length {
         let mut chunk = vec![0u8; content_length - body.len()];
-        let n = stream
-            .read(&mut chunk)
-            .map_err(|e| HttpError::Io(format!("read body: {e}")))?;
+        let n = read_by(stream, &mut chunk, deadline_ns, "read body")?;
         if n == 0 {
             return Err(HttpError::Malformed("connection closed mid-body".into()));
         }
@@ -213,6 +243,22 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
         path,
         body: String::from_utf8_lossy(&body).into_owned(),
     })
+}
+
+/// Reads and drops whatever the client still sends — at most one
+/// request's worth — until it closes or `budget` runs out. Closing a
+/// socket with unread input resets the connection, which can destroy a
+/// reply the client has not read yet; draining first avoids that.
+pub(crate) fn discard_within(stream: &mut TcpStream, budget: Duration) {
+    let deadline_ns = deadline_after(budget);
+    let mut chunk = [0u8; 4096];
+    let mut left = MAX_HEADER_BYTES + MAX_BODY_BYTES;
+    while left > 0 {
+        match read_by(stream, &mut chunk, deadline_ns, "discard") {
+            Ok(0) | Err(_) => return,
+            Ok(n) => left = left.saturating_sub(n),
+        }
+    }
 }
 
 /// A client-side response: status, headers, body.
@@ -334,6 +380,32 @@ mod tests {
         );
         let err = roundtrip(text.as_bytes()).unwrap_err();
         assert!(matches!(err, HttpError::TooLarge(_)), "{err}");
+    }
+
+    #[test]
+    fn trickling_client_hits_the_whole_request_deadline() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+        // One header byte every 50 ms: each read succeeds well within any
+        // per-read timeout, so only a whole-request deadline stops it.
+        let writer = std::thread::spawn(move || {
+            let mut s = TcpStream::connect(addr).unwrap();
+            for byte in b"GET /v1/health HTTP/1.1\r\nx-slow: ".iter().cycle() {
+                if done_rx.try_recv().is_ok() || s.write_all(&[*byte]).is_err() {
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(50));
+            }
+        });
+        let (mut stream, _) = listener.accept().unwrap();
+        let started = fase_obs::monotonic_ns();
+        let err = read_request_within(&mut stream, Duration::from_millis(200)).unwrap_err();
+        let elapsed_ms = fase_obs::monotonic_ns().saturating_sub(started) / 1_000_000;
+        done_tx.send(()).unwrap();
+        writer.join().unwrap();
+        assert!(matches!(err, HttpError::Io(_)), "{err}");
+        assert!(elapsed_ms < 1_000, "deadline took {elapsed_ms} ms");
     }
 
     #[test]

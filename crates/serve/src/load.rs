@@ -7,7 +7,7 @@
 //! times of course vary; the *structure* of the run does not, which is
 //! what the robustness demo and the latency benchmark need.
 
-use crate::http::client_request;
+use crate::http::{client_request, ClientResponse};
 use crate::protocol::SweepRequest;
 use fase_core::FaseError;
 use fase_dsp::rng::mix_seed;
@@ -31,9 +31,9 @@ pub struct LoadSpec {
     pub deadline_ms: Option<u64>,
     /// Per-request capture budget.
     pub max_captures: Option<u64>,
-    /// Honor `Retry-After` on `429` and retry (up to three times) so a
-    /// bursty spec still completes; `false` records the rejection and
-    /// moves on.
+    /// Honor `Retry-After` on `429` and `503 overloaded` and retry (up
+    /// to three times) so a bursty spec still completes; `false` records
+    /// the rejection and moves on.
     pub retry_rejected: bool,
 }
 
@@ -89,7 +89,8 @@ enum Outcome {
     Ok,
     /// `200` with a degraded (partial or cancelled) report.
     Degraded,
-    /// `429` that was not (or could not be) retried into completion.
+    /// `429` or `503 overloaded` that was not (or could not be) retried
+    /// into completion.
     Rejected,
     /// Anything else: `5xx`, transport failure, malformed reply.
     Error,
@@ -106,17 +107,17 @@ struct Sample {
 /// Aggregated results of a load run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoadReport {
-    /// Requests sent (excluding internal 429 retries).
+    /// Requests sent (excluding internal retries of refusals).
     pub sent: usize,
     /// Complete `200` responses.
     pub ok: usize,
     /// Degraded `200` responses (deadline, budget, or drain cut in).
     pub degraded: usize,
-    /// Requests that ended rejected (`429`).
+    /// Requests that ended rejected (`429` or `503 overloaded`).
     pub rejected: usize,
     /// Requests that ended in an error (5xx or transport).
     pub errors: usize,
-    /// `429` responses observed in total, including retried ones.
+    /// Refusals observed in total, including retried ones.
     pub rejections_seen: usize,
     /// Median end-to-end latency of answered requests, milliseconds.
     pub p50_ms: f64,
@@ -200,7 +201,7 @@ fn send_one(spec: &LoadSpec, body: &str) -> Sample {
                     rejections_seen,
                 };
             }
-            429 => {
+            _ if refused(&reply) => {
                 rejections_seen += 1;
                 if !spec.retry_rejected || attempts >= 3 {
                     return Sample {
@@ -227,6 +228,14 @@ fn send_one(spec: &LoadSpec, body: &str) -> Sample {
             }
         }
     }
+}
+
+/// Whether the server turned the request away with a retry hint
+/// instead of failing it: `429` (queue full) or `503 overloaded` (no
+/// connection slot free). Both mean "come back later", so both count as
+/// rejections; other `503`s (draining) do not.
+fn refused(reply: &ClientResponse) -> bool {
+    reply.status == 429 || (reply.status == 503 && reply.body.contains("\"error\":\"overloaded\""))
 }
 
 fn elapsed_ms(started_ns: u64) -> f64 {

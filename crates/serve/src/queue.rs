@@ -165,6 +165,13 @@ impl<T> DrrQueues<T> {
             .clamp(MIN_HINT_MS, MAX_HINT_MS)
     }
 
+    /// Retry hint for a request refused before admission (the server
+    /// has no connection slot free): the same backlog-based hint as a
+    /// full global queue.
+    pub fn busy_hint_ms(&mut self) -> u64 {
+        self.retry_hint_ms(self.total)
+    }
+
     /// Jobs queued across all tenants.
     pub fn len(&self) -> usize {
         self.total

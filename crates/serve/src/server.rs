@@ -13,15 +13,23 @@
 //!
 //! ## Request path
 //!
-//! Each connection gets a short-lived handler thread: it parses the
-//! request, admits it into the [`DrrQueues`] (or answers `429` with
-//! `Retry-After`), and then *blocks on a rendezvous channel* until a
-//! worker delivers the response. Workers pull jobs in
-//! deficit-round-robin order, execute the sweep through
-//! [`fase_specan::run_sweep`] with the job's [`CancelToken`] threaded
-//! into the runner, and always reply — completed, degraded, structured
-//! error, or cancelled — so no handler waits past its deadline plus a
-//! bounded grace.
+//! The acceptor blocks in `accept()`; [`Server::join`] wakes it with a
+//! loopback self-connect once the phase is `Stopped`. Each connection
+//! gets a short-lived handler thread: it parses the request, admits it
+//! into the [`DrrQueues`] (or answers `429` with `Retry-After`), and
+//! then *blocks on a rendezvous channel* until a worker delivers the
+//! response. Live handlers are capped at `caps.global + workers + 4`
+//! (every queued and running job, plus a few for health and metrics).
+//! At the cap the acceptor makes room by closing the connection that has
+//! been sending its request the longest, so idle or slow clients can
+//! neither grow the thread count nor lock out well-behaved ones; only
+//! when every slot holds a request already being served does it answer
+//! `503 overloaded` (with `Retry-After`) itself.
+//! Workers pull jobs in deficit-round-robin order, execute the sweep
+//! through [`fase_specan::run_sweep`] with the job's [`CancelToken`]
+//! threaded into the runner, and always reply — completed, degraded,
+//! structured error, or cancelled — so no handler waits past its
+//! deadline plus a bounded grace.
 //!
 //! ## Fault containment
 //!
@@ -33,7 +41,7 @@
 //! the job boundary: the request gets a structured `500`, the worker
 //! thread and every other tenant keep going.
 
-use crate::http::{read_request, HttpError, Request, Response};
+use crate::http::{deadline_after, discard_within, read_request, HttpError, Request, Response};
 use crate::protocol::{
     cancelled_body, error_body, escape, pair_by_name, sweep_body, system_factory, SweepRequest,
 };
@@ -41,7 +49,8 @@ use crate::queue::{DrrQueues, QueueCaps};
 use fase_core::FaseError;
 use fase_obs::Recorder;
 use fase_specan::{CancelToken, FaultPlan, FaultRates, SweepOptions};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::collections::BTreeMap;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
@@ -58,15 +67,29 @@ const REPLY_GRACE_MS: u64 = 15_000;
 /// Reply timeout for requests that carry no deadline at all.
 const NO_DEADLINE_REPLY_MS: u64 = 600_000;
 
-/// How often blocked workers and waiters re-check the server phase.
+/// How often waiters re-check the server phase, and how long the
+/// acceptor backs off after a failed `accept` (e.g. out of descriptors).
 const POLL_MS: u64 = 20;
+
+/// Connection handlers allowed beyond the queue and worker capacity,
+/// so health and metrics probes still get through at full load.
+const SPARE_HANDLERS: usize = 4;
+
+/// How long the acceptor waits for an evicted reader to free its slot,
+/// and how long a shed connection may take to finish sending before its
+/// socket closes.
+const ACCEPTOR_WAIT: Duration = Duration::from_millis(100);
 
 /// Everything configurable about a server instance.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address; use port `0` to let the OS pick (tests do).
     pub addr: String,
-    /// Worker threads executing sweeps (minimum 1).
+    /// Worker threads executing sweeps (minimum 1). The default is one:
+    /// a capture holds several megabytes of transient heap, so one worker
+    /// bounds the server's heap to a single capture and keeps a reply's
+    /// latency independent of how captures happen to overlap. Raise it
+    /// to run captures side by side on hosts with cores to spare.
     pub workers: usize,
     /// Admission-control limits and the DRR quantum.
     pub caps: QueueCaps,
@@ -94,7 +117,7 @@ impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:0".to_owned(),
-            workers: 2,
+            workers: 1,
             caps: QueueCaps::default(),
             cache_dir: None,
             default_deadline_ms: 60_000,
@@ -157,6 +180,11 @@ struct Shared {
     /// deadline. Keyed by a serial so removal is exact.
     running: Mutex<Vec<(u64, CancelToken)>>,
     next_serial: AtomicUsize,
+    /// Live connection handler threads.
+    handlers: AtomicUsize,
+    /// Connections whose handler is still reading the request, keyed by
+    /// acceptance order, so the acceptor can close the oldest one.
+    readers: Mutex<BTreeMap<u64, TcpStream>>,
 }
 
 /// Locks a mutex, riding through poisoning: a worker that panicked
@@ -172,6 +200,34 @@ impl Shared {
 
     fn quiesced(&self) -> bool {
         lock(&self.queues).is_empty() && self.active.load(Ordering::SeqCst) == 0
+    }
+
+    /// Most connection handlers alive at once: every job the queues can
+    /// hold, every running one, and a few spare.
+    fn max_handlers(&self) -> usize {
+        self.config.caps.global + self.config.workers.max(1) + SPARE_HANDLERS
+    }
+}
+
+/// One slot of the handler cap for connection `conn`, released when the
+/// handler thread ends (or never starts).
+struct HandlerSlot {
+    shared: Arc<Shared>,
+    conn: u64,
+}
+
+impl HandlerSlot {
+    /// Marks the request as read. False if the acceptor already closed
+    /// this connection to make room, in which case nobody is listening.
+    fn finished_reading(&self) -> bool {
+        lock(&self.shared.readers).remove(&self.conn).is_some()
+    }
+}
+
+impl Drop for HandlerSlot {
+    fn drop(&mut self) {
+        lock(&self.shared.readers).remove(&self.conn);
+        self.shared.handlers.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -200,9 +256,6 @@ impl Server {
         let addr = listener
             .local_addr()
             .map_err(|e| FaseError::worker(format!("local_addr: {e}")))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| FaseError::worker(format!("set_nonblocking: {e}")))?;
 
         let shared = Arc::new(Shared {
             queues: Mutex::new(DrrQueues::new(config.caps)),
@@ -211,6 +264,8 @@ impl Server {
             active: AtomicUsize::new(0),
             running: Mutex::new(Vec::new()),
             next_serial: AtomicUsize::new(0),
+            handlers: AtomicUsize::new(0),
+            readers: Mutex::new(BTreeMap::new()),
             config,
         });
 
@@ -270,8 +325,21 @@ impl Server {
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
+        // The acceptor is blocked in accept(); one connection wakes it to
+        // see `Stopped`. If even loopback refuses, leave it detached
+        // rather than hang.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake.ip() {
+                IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            });
+        }
+        let woke = TcpStream::connect_timeout(&wake, Duration::from_secs(1)).is_ok();
         if let Some(handle) = self.acceptor.take() {
-            let _ = handle.join();
+            if woke {
+                let _ = handle.join();
+            }
         }
     }
 }
@@ -322,31 +390,95 @@ fn begin_drain(shared: &Arc<Shared>) {
 }
 
 /// Accepts connections until the server stops; each connection gets a
-/// short-lived handler thread.
+/// short-lived handler thread while the handler cap allows.
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
+    let mut conn = 0u64;
     loop {
+        let accepted = listener.accept();
         if shared.phase() == ServePhase::Stopped {
             return;
         }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let handler_shared = Arc::clone(shared);
-                let _ = std::thread::Builder::new()
-                    .name("fase-serve-conn".to_owned())
-                    .spawn(move || handle_connection(stream, &handler_shared));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(POLL_MS));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(POLL_MS)),
+        let Ok((stream, _)) = accepted else {
+            // Accept failures (out of descriptors, ...) tend to persist
+            // for a moment; back off instead of spinning.
+            std::thread::sleep(Duration::from_millis(POLL_MS));
+            continue;
+        };
+        // Only this thread takes slots, so check-then-add cannot
+        // overshoot; handlers release theirs as they finish.
+        if shared.handlers.load(Ordering::SeqCst) >= shared.max_handlers()
+            && !evict_oldest_reader(shared)
+        {
+            shared.config.recorder.count("serve.overloaded", 1);
+            shed(stream, shared);
+            continue;
         }
+        let Ok(reader) = stream.try_clone() else {
+            continue;
+        };
+        conn += 1;
+        lock(&shared.readers).insert(conn, reader);
+        shared.handlers.fetch_add(1, Ordering::SeqCst);
+        let slot = HandlerSlot {
+            shared: Arc::clone(shared),
+            conn,
+        };
+        let _ = std::thread::Builder::new()
+            .name("fase-serve-conn".to_owned())
+            .spawn(move || handle_connection(stream, &slot));
     }
 }
 
+/// Frees a handler slot by closing the connection that has been sending
+/// its request the longest: its handler's read fails at once and it
+/// exits without replying. False when no handler is still reading (every
+/// slot holds a request being served) or the slot did not free in time.
+fn evict_oldest_reader(shared: &Shared) -> bool {
+    let Some((_, oldest)) = lock(&shared.readers).pop_first() else {
+        return false;
+    };
+    let _ = oldest.shutdown(Shutdown::Both);
+    shared.config.recorder.count("serve.evicted", 1);
+    let deadline_ns = deadline_after(ACCEPTOR_WAIT);
+    while shared.handlers.load(Ordering::SeqCst) >= shared.max_handlers() {
+        if fase_obs::monotonic_ns() >= deadline_ns {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    true
+}
+
+/// Answers a connection over the handler cap with `503 overloaded` and a
+/// load-derived `Retry-After`, then reads and drops what the client
+/// still sends (briefly), so the close does not reset a client that is
+/// still writing its request before it sees the reply.
+fn shed(mut stream: TcpStream, shared: &Shared) {
+    let retry_ms = {
+        let mut queues = lock(&shared.queues);
+        queues.busy_hint_ms()
+    };
+    let _ = stream.set_write_timeout(Some(ACCEPTOR_WAIT));
+    let _ = busy_response(503, "overloaded", "too many open connections", retry_ms)
+        .write_to(&mut stream);
+    let _ = stream.shutdown(Shutdown::Write);
+    discard_within(&mut stream, ACCEPTOR_WAIT);
+}
+
+/// A structured refusal the client should retry after `retry_ms`.
+fn busy_response(status: u16, kind: &str, message: &str, retry_ms: u64) -> Response {
+    Response::json(status, error_body(kind, message, Some(retry_ms)))
+        .with_header("Retry-After", retry_ms.div_ceil(1_000).max(1).to_string())
+}
+
 /// Parses one request, routes it, and writes the response.
-fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
-    let response = match read_request(&mut stream) {
-        Ok(request) => route(&request, shared),
+fn handle_connection(mut stream: TcpStream, slot: &HandlerSlot) {
+    let read = read_request(&mut stream);
+    if !slot.finished_reading() {
+        return;
+    }
+    let response = match read {
+        Ok(request) => route(&request, &slot.shared),
         Err(e) => {
             let status = match &e {
                 HttpError::TooLarge(_) => 413,
@@ -456,8 +588,7 @@ fn handle_sweep(body: &str, shared: &Arc<Shared>) -> Response {
                 _ => "global-queue-full",
             };
             let message = FaseError::busy(rejection.scope(), retry_ms).to_string();
-            return Response::json(429, error_body(kind, &message, Some(retry_ms)))
-                .with_header("Retry-After", retry_ms.div_ceil(1_000).max(1).to_string());
+            return busy_response(429, kind, &message, retry_ms);
         }
     }
     shared.wake.notify_all();
@@ -681,6 +812,8 @@ fn error_kind(e: &FaseError) -> &'static str {
 mod tests {
     use super::*;
     use crate::http::client_request;
+    use crate::load::{run_load, LoadSpec};
+    use std::io::{Read, Write};
 
     fn tiny_server() -> Server {
         Server::start(ServeConfig {
@@ -761,6 +894,160 @@ mod tests {
         );
 
         assert_eq!(server.phase(), ServePhase::Draining);
+        server.join();
+    }
+
+    #[test]
+    fn join_wakes_the_blocked_acceptor() {
+        let server = tiny_server();
+        let addr = server.addr().to_string();
+        let health = client_request(&addr, "GET", "/v1/health", "").unwrap();
+        assert_eq!(health.status, 200);
+        // A missed wake would leave join() blocked in accept() forever;
+        // joining from a helper turns that into a failure, not a hang.
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            server.join();
+            let _ = done_tx.send(());
+        });
+        assert!(
+            done_rx.recv_timeout(Duration::from_secs(5)).is_ok(),
+            "join() did not return within 5 s"
+        );
+    }
+
+    /// A server with one worker and room for one queued job: 6 handlers.
+    fn capped_server() -> Server {
+        Server::start(ServeConfig {
+            workers: 1,
+            caps: QueueCaps {
+                global: 1,
+                ..QueueCaps::default()
+            },
+            ..ServeConfig::default()
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn idle_sockets_at_the_handler_cap_do_not_lock_out_requests() {
+        let server = capped_server();
+        let addr = server.addr().to_string();
+        let max = server.shared.max_handlers();
+        // Every slot held by a client that never finishes its request:
+        // half idle, half stalled mid-head.
+        let mut idle: Vec<TcpStream> = (0..max)
+            .map(|i| {
+                let mut s = TcpStream::connect(&addr).unwrap();
+                if i % 2 == 1 {
+                    s.write_all(b"GET /v1/health HTTP/1.1\r\nx-slow: ").unwrap();
+                }
+                s
+            })
+            .collect();
+        for _ in 0..500 {
+            if server.shared.handlers.load(Ordering::SeqCst) == max {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(server.shared.handlers.load(Ordering::SeqCst), max);
+
+        let spec = LoadSpec {
+            deadline_ms: Some(30_000),
+            ..LoadSpec::default()
+        };
+        let sweep = client_request(
+            &addr,
+            "POST",
+            "/v1/sweep",
+            &spec.request_for(0, 0).to_json(),
+        )
+        .unwrap();
+        assert_eq!(sweep.status, 200, "{}", sweep.body);
+        assert!(!sweep.body.contains("\"degraded\":true"), "{}", sweep.body);
+        let health = client_request(&addr, "GET", "/v1/health", "").unwrap();
+        assert_eq!(health.status, 200, "{}", health.body);
+        assert!(server.shared.handlers.load(Ordering::SeqCst) <= max);
+
+        // The sweep made room by closing the oldest stalled connection
+        // (the probe found the sweep's slot free again).
+        let oldest = &mut idle[0];
+        oldest
+            .set_read_timeout(Some(Duration::from_secs(1)))
+            .unwrap();
+        match oldest.read(&mut [0u8; 16]) {
+            Ok(n) => assert_eq!(n, 0, "evicted client got a reply"),
+            Err(e) => assert!(
+                !matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ),
+                "oldest connection was not closed"
+            ),
+        }
+        drop(idle);
+        server.join();
+    }
+
+    #[test]
+    fn a_cap_held_by_served_requests_answers_503_with_retry_after() {
+        let server = capped_server();
+        let addr = server.addr().to_string();
+        let max = server.shared.max_handlers();
+        // Stand in for `max` handlers that have read their requests and
+        // are being served: nothing left to evict.
+        server.shared.handlers.fetch_add(max, Ordering::SeqCst);
+
+        let started = fase_obs::monotonic_ns();
+        let shed = client_request(&addr, "GET", "/v1/health", "").unwrap();
+        let elapsed_ms = fase_obs::monotonic_ns().saturating_sub(started) / 1_000_000;
+        assert_eq!(shed.status, 503, "{}", shed.body);
+        assert!(
+            shed.body.contains("\"error\":\"overloaded\""),
+            "{}",
+            shed.body
+        );
+        assert!(shed.body.contains("\"retry_after_ms\":"), "{}", shed.body);
+        assert!(shed.header("retry-after").is_some());
+        assert!(elapsed_ms < 1_000, "503 took {elapsed_ms} ms");
+
+        // A client that sees the 503 while still sending its body can
+        // finish sending it and read to the end without a reset.
+        let mut client = TcpStream::connect(&addr).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        client
+            .write_all(b"POST /v1/sweep HTTP/1.1\r\ncontent-length: 32768\r\n\r\n")
+            .unwrap();
+        let mut reply = Vec::new();
+        let mut byte = [0u8; 1];
+        while !reply.ends_with(b"\r\n\r\n") {
+            assert_eq!(client.read(&mut byte).unwrap(), 1, "no 503 head");
+            reply.push(byte[0]);
+        }
+        assert!(reply.starts_with(b"HTTP/1.1 503"));
+        for _ in 0..8 {
+            client.write_all(&[b' '; 4096]).unwrap();
+        }
+        client.read_to_end(&mut reply).unwrap();
+
+        // The load generator backs off on it like on a 429.
+        let report = run_load(&LoadSpec {
+            addr: addr.clone(),
+            tenants: 1,
+            requests: 2,
+            concurrency: 1,
+            retry_rejected: false,
+            ..LoadSpec::default()
+        })
+        .unwrap();
+        assert_eq!((report.rejected, report.errors), (2, 0), "{report:?}");
+
+        server.shared.handlers.fetch_sub(max, Ordering::SeqCst);
+        let health = client_request(&addr, "GET", "/v1/health", "").unwrap();
+        assert_eq!(health.status, 200, "{}", health.body);
         server.join();
     }
 

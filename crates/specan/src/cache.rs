@@ -563,6 +563,23 @@ impl SweepManifest {
         Ok(manifest)
     }
 
+    /// Opens the record of the sweep plan hashed as `span_key` for a new
+    /// run: an existing, readable record of the same plan is continued
+    /// as it stands (every band it lists finished and was cached), and
+    /// anything else is replaced by a fresh one. A run that replays an
+    /// already recorded plan from the cache therefore writes nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FaseError::Cache`] when a fresh manifest cannot be
+    /// written.
+    pub fn open(dir: &Path, span_key: &CacheKey, bands: usize) -> Result<SweepManifest, FaseError> {
+        match SweepManifest::load(dir, span_key, bands) {
+            Ok(Some(manifest)) => Ok(manifest),
+            Ok(None) | Err(_) => SweepManifest::create(dir, span_key, bands),
+        }
+    }
+
     /// Loads the manifest for `span_key`, if one exists. `Ok(None)` means
     /// no sweep of this plan was ever started here.
     ///
@@ -633,12 +650,16 @@ impl SweepManifest {
     }
 
     /// Records band `band` as finished, persisting immediately (the whole
-    /// point is surviving a kill between bands).
+    /// point is surviving a kill between bands). A band already recorded
+    /// with the same entry leaves the file untouched.
     ///
     /// # Errors
     ///
     /// Returns [`FaseError::Cache`] when the manifest cannot be written.
     pub fn mark_done(&mut self, band: usize, entry: &CacheKey) -> Result<(), FaseError> {
+        if self.done.get(&band).map(String::as_str) == Some(entry.hex()) {
+            return Ok(());
+        }
         self.done.insert(band, entry.hex().to_owned());
         self.persist()
     }
@@ -797,6 +818,47 @@ mod tests {
         // Copy a's entry file under b's name: content-address mismatch.
         std::fs::copy(cache.entry_path(&key_a), cache.entry_path(&key_b)).unwrap();
         assert!(matches!(cache.load(&key_b), CacheLookup::Invalid));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn reopening_a_recorded_plan_continues_it_without_rewriting() {
+        use std::os::unix::fs::MetadataExt as _;
+        let dir = temp_dir("manifest-reopen");
+        std::fs::create_dir_all(&dir).unwrap();
+        let span = CacheKey::from_description("span");
+        let entry = CacheKey::from_description("entry");
+        let mut first = SweepManifest::open(&dir, &span, 2).unwrap();
+        first.mark_done(0, &entry).unwrap();
+        first.mark_done(1, &entry).unwrap();
+        let path = SweepManifest::manifest_path(&dir, &span);
+        // Every persist renames a new file into place, so an unchanged
+        // inode means nothing was written.
+        let inode = std::fs::metadata(&path).unwrap().ino();
+
+        let mut again = SweepManifest::open(&dir, &span, 2).unwrap();
+        assert!(again.is_complete());
+        again.mark_done(0, &entry).unwrap();
+        again.mark_done(1, &entry).unwrap();
+        assert_eq!(std::fs::metadata(&path).unwrap().ino(), inode);
+        assert!(!dir.join(".fase-cache.lock").exists());
+
+        // A band recorded under a different entry is rewritten.
+        let other = CacheKey::from_description("other entry");
+        again.mark_done(1, &other).unwrap();
+        assert_ne!(std::fs::metadata(&path).unwrap().ino(), inode);
+
+        // A record of another plan shape is replaced by a fresh one.
+        let fresh = SweepManifest::open(&dir, &span, 3).unwrap();
+        assert_eq!(fresh.done_count(), 0);
+        assert_eq!(
+            SweepManifest::load(&dir, &span, 3)
+                .unwrap()
+                .unwrap()
+                .done_count(),
+            0
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -651,12 +651,13 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Per-alternation-frequency setup shared by that frequency's capture
 /// tasks: the calibrated micro-benchmark and the machine whose profile
-/// cache the calibration warmed. Tasks clone the machine, so every
+/// cache the calibration warmed. Tasks borrow the machine, so every
 /// capture starts from the identical calibrated state — and skips the
-/// expensive op-level profiling pass.
+/// expensive op-level profiling pass. Every frequency of one
+/// `(i_alt, pair)` shares the same machine.
 #[derive(Debug)]
 struct Prepared {
-    machine: fase_sysmodel::Machine,
+    machine: std::sync::Arc<fase_sysmodel::Machine>,
     bench: Alternation,
 }
 
@@ -681,7 +682,10 @@ struct Prepared {
 #[derive(Debug, Clone, Default)]
 pub struct CalibrationCache {
     /// Profile-warmed machines keyed by `(i_alt, pair label)`.
-    machines: std::sync::Arc<Mutex<BTreeMap<(usize, &'static str), fase_sysmodel::Machine>>>,
+    #[allow(clippy::type_complexity)]
+    machines: std::sync::Arc<
+        Mutex<BTreeMap<(usize, &'static str), std::sync::Arc<fase_sysmodel::Machine>>>,
+    >,
     /// Calibrated per-frequency state keyed by
     /// `(i_alt, f_alt bit pattern, pair label)`.
     #[allow(clippy::type_complexity)]
@@ -736,19 +740,25 @@ where
                     .get(&mkey)
                     .cloned()
             };
-            let mut machine = match base {
-                Some(machine) => machine,
-                None => factory(i_alt).machine,
-            };
-            // Warms the machine's profile cache on first use; hits it on
-            // every later calibration of the same (i_alt, pair).
-            let bench = pair.calibrated(&mut machine, f_alt.hz());
-            calibration
-                .machines
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .entry(mkey)
-                .or_insert_with(|| machine.clone());
+            let (x, y) = pair.activities();
+            // A warmed machine calibrates every later frequency of the
+            // same (i_alt, pair) from its profile cache, unchanged.
+            let warm = base.and_then(|machine| {
+                Alternation::calibrated_warm(&machine, x, y, f_alt.hz())
+                    .map(|bench| (machine, bench))
+            });
+            let (machine, bench) = warm.unwrap_or_else(|| {
+                let mut machine = factory(i_alt).machine;
+                let bench = pair.calibrated(&mut machine, f_alt.hz());
+                let machine = std::sync::Arc::new(machine);
+                calibration
+                    .machines
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+                    .entry(mkey)
+                    .or_insert_with(|| std::sync::Arc::clone(&machine));
+                (machine, bench)
+            });
             let p = std::sync::Arc::new(Prepared { machine, bench });
             calibration
                 .prepared
@@ -789,13 +799,15 @@ where
         return Err(FaseError::worker("injected task failure"));
     }
     let mut system = factory(task.i_alt);
-    system.machine = prepared.machine.clone();
     let stream = attempt_seed(seed, task.index, attempt);
     let mut rng = SmallRng::seed_from_u64(stream);
     let window = segment.window(task.index as f64 * segment.duration());
-    let trace = system
+    // The calibration warmed both profiles, so the trace comes straight
+    // from the shared machine.
+    let trace = prepared
         .machine
-        .run_alternation(&prepared.bench, segment.duration(), &mut rng);
+        .profiled_alternation(&prepared.bench, segment.duration(), &mut rng)
+        .ok_or_else(|| FaseError::worker("calibrated machine lacks the bench's profiles"))?;
     let pairs = (trace.len() / 2).max(1);
     let trace_duration = trace.duration();
     let refreshes = system.refresh.schedule(&trace, &mut rng);

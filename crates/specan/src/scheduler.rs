@@ -367,7 +367,7 @@ where
                 FaseError::cache("nothing to resume: no manifest records this sweep plan")
             })?,
         ),
-        Some(cache) => Some(SweepManifest::create(cache.dir(), &span_key, bands.len())?),
+        Some(cache) => Some(SweepManifest::open(cache.dir(), &span_key, bands.len())?),
         None => None,
     };
 
@@ -663,6 +663,51 @@ mod tests {
         )
         .unwrap();
         assert_eq!(other.cache_hits, 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn warm_replay_writes_nothing_to_the_cache_dir() {
+        use std::os::unix::fs::MetadataExt as _;
+        let dir = temp_dir("warm-readonly");
+        let options = SweepOptions {
+            cache_dir: Some(dir.clone()),
+            ..fast_options()
+        };
+        let sweep = || {
+            run_sweep(
+                &small_sweep(),
+                "demo",
+                ActivityPair::LdmLdl1,
+                demo_factory,
+                7,
+                &options,
+            )
+            .unwrap()
+        };
+        // Name, inode and modification time of every file: a write
+        // renames a new file into place or touches an existing one.
+        let listing = || {
+            let mut files: Vec<(String, u64, i64, i64)> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| {
+                    let e = e.unwrap();
+                    let meta = e.metadata().unwrap();
+                    let name = e.file_name().to_string_lossy().into_owned();
+                    (name, meta.ino(), meta.mtime(), meta.mtime_nsec())
+                })
+                .collect();
+            files.sort();
+            files
+        };
+        let cold = sweep();
+        let before = listing();
+        assert_eq!(before.len(), 3, "two entries and one manifest: {before:?}");
+        let warm = sweep();
+        assert_eq!((warm.cache_hits, warm.cache_misses), (2, 0));
+        assert_eq!(warm.report.to_json(), cold.report.to_json());
+        assert_eq!(listing(), before);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -174,7 +174,7 @@ impl Machine {
     ///
     /// Panics if `ops` is zero.
     pub fn profile(&mut self, activity: Activity, ops: usize) -> KernelProfile {
-        if let Some(&cached) = self.profile_cache.get(&(activity, ops)) {
+        if let Some(cached) = self.profiled(activity, ops) {
             return cached;
         }
         let key = self.memo_key(activity, ops);
@@ -276,9 +276,47 @@ impl Machine {
         assert!(duration > 0.0, "duration must be positive");
         let x = self.profile(bench.x(), bench.profile_ops());
         let y = self.profile(bench.y(), bench.profile_ops());
+        self.alternate(bench, x, y, duration, rng)
+    }
+
+    /// [`run_alternation`](Machine::run_alternation) on a machine whose
+    /// profile cache already holds both of the bench's activities (as
+    /// after [`Alternation::calibrated`] on this machine): the same trace
+    /// from the same RNG draws, without mutating — or cloning — the
+    /// machine. Returns `None` if either profile is missing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `duration` is not positive.
+    pub fn profiled_alternation<R: Rng + ?Sized>(
+        &self,
+        bench: &Alternation,
+        duration: f64,
+        rng: &mut R,
+    ) -> Option<ActivityTrace> {
+        assert!(duration > 0.0, "duration must be positive");
+        let x = self.profiled(bench.x(), bench.profile_ops())?;
+        let y = self.profiled(bench.y(), bench.profile_ops())?;
+        Some(self.alternate(bench, x, y, duration, rng))
+    }
+
+    /// The profile an earlier [`profile`](Machine::profile) call on this
+    /// machine measured for `(activity, ops)`, if there was one.
+    pub(crate) fn profiled(&self, activity: Activity, ops: usize) -> Option<KernelProfile> {
+        self.profile_cache.get(&(activity, ops)).copied()
+    }
+
+    /// Emits jittered X/Y phases until the trace covers `duration`.
+    fn alternate<R: Rng + ?Sized>(
+        &self,
+        bench: &Alternation,
+        x: KernelProfile,
+        y: KernelProfile,
+        duration: f64,
+        rng: &mut R,
+    ) -> ActivityTrace {
         let x_nominal = bench.x_count() as f64 * x.op_seconds;
         let y_nominal = bench.y_count() as f64 * y.op_seconds;
-
         let mut trace = ActivityTrace::new();
         while trace.duration() < duration {
             trace.push(self.jittered(x_nominal, rng), x.loads);
@@ -332,7 +370,7 @@ use fase_dsp::noise::standard_normal as fase_gaussian;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::microbench::Alternation;
+    use crate::microbench::{ActivityPair, Alternation};
     use fase_dsp::rng::SmallRng;
 
     #[test]
@@ -464,6 +502,43 @@ mod tests {
         let bench_b = Alternation::calibrated(&mut b, Activity::LoadDram, Activity::LoadL1, 50e3);
         assert_eq!(bench.x_count(), bench_b.x_count());
         assert_eq!(bench.y_count(), bench_b.y_count());
+    }
+
+    #[test]
+    fn profiled_alternation_matches_run_alternation() {
+        let pairs = [
+            ActivityPair::LdmLdl1,
+            ActivityPair::Ldl2Ldl1,
+            ActivityPair::Ldl1Ldl1,
+            ActivityPair::LdmLdm,
+            ActivityPair::StmLdl1,
+            ActivityPair::LdmAdd,
+        ];
+        for make in [Machine::core_i7, Machine::laptop] {
+            for pair in pairs {
+                let mut prepared = make();
+                let bench = pair.calibrated(&mut prepared, 50e3);
+                let mut borrowed_rng = SmallRng::seed_from_u64(11);
+                let borrowed = prepared
+                    .profiled_alternation(&bench, 2e-3, &mut borrowed_rng)
+                    .unwrap();
+                let mut cloned_rng = SmallRng::seed_from_u64(11);
+                let cloned = prepared
+                    .clone()
+                    .run_alternation(&bench, 2e-3, &mut cloned_rng);
+                assert_eq!(borrowed.len(), cloned.len(), "{pair}");
+                for (a, b) in borrowed.segments().iter().zip(cloned.segments()) {
+                    assert_eq!(a.duration.to_bits(), b.duration.to_bits(), "{pair}");
+                    assert_eq!(a.loads, b.loads, "{pair}");
+                }
+                assert_eq!(borrowed_rng.next_u64(), cloned_rng.next_u64(), "{pair}");
+            }
+        }
+        let bench = Alternation::new(Activity::LoadDram, Activity::LoadL1, 10, 10);
+        let mut rng = SmallRng::seed_from_u64(12);
+        assert!(Machine::core_i7()
+            .profiled_alternation(&bench, 1e-3, &mut rng)
+            .is_none());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! calibration to a target alternation frequency.
 
 use crate::activity::Activity;
-use crate::machine::Machine;
+use crate::machine::{KernelProfile, Machine};
 use std::fmt;
 
 /// An X/Y alternation micro-benchmark: run `x_count` operations of activity
@@ -64,9 +64,40 @@ impl Alternation {
     /// Panics if `f_alt` is not positive.
     pub fn calibrated(machine: &mut Machine, x: Activity, y: Activity, f_alt: f64) -> Alternation {
         assert!(f_alt > 0.0, "alternation frequency must be positive");
-        let half = 0.5 / f_alt;
         let px = machine.profile(x, Self::PROFILE_OPS);
         let py = machine.profile(y, Self::PROFILE_OPS);
+        Self::balanced(x, y, px, py, f_alt)
+    }
+
+    /// [`calibrated`](Alternation::calibrated) on a machine that has
+    /// already profiled both activities (any earlier calibration of the
+    /// same pair did): the same counts, without mutating the machine.
+    /// Returns `None` if either profile is missing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `f_alt` is not positive.
+    pub fn calibrated_warm(
+        machine: &Machine,
+        x: Activity,
+        y: Activity,
+        f_alt: f64,
+    ) -> Option<Alternation> {
+        assert!(f_alt > 0.0, "alternation frequency must be positive");
+        let px = machine.profiled(x, Self::PROFILE_OPS)?;
+        let py = machine.profiled(y, Self::PROFILE_OPS)?;
+        Some(Self::balanced(x, y, px, py, f_alt))
+    }
+
+    /// Counts giving X and Y half a period each at `f_alt`.
+    fn balanced(
+        x: Activity,
+        y: Activity,
+        px: KernelProfile,
+        py: KernelProfile,
+        f_alt: f64,
+    ) -> Alternation {
+        let half = 0.5 / f_alt;
         let x_count = ((half / px.op_seconds).round() as usize).max(1);
         let y_count = ((half / py.op_seconds).round() as usize).max(1);
         Alternation {
@@ -183,6 +214,18 @@ impl fmt::Display for ActivityPair {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn warm_calibration_matches_calibration() {
+        let (x, y) = ActivityPair::LdmLdl1.activities();
+        let mut m = Machine::core_i7();
+        assert_eq!(Alternation::calibrated_warm(&m, x, y, 30e3), None);
+        let _ = Alternation::calibrated(&mut m, x, y, 50e3);
+        for f_alt in [30e3, 43.3e3, 50e3] {
+            let warm = Alternation::calibrated_warm(&m, x, y, f_alt);
+            assert_eq!(warm, Some(Alternation::calibrated(&mut m, x, y, f_alt)));
+        }
+    }
 
     #[test]
     fn calibration_balances_half_periods() {
