@@ -75,6 +75,18 @@ fn bench_peaks(report: &mut BenchReport) {
     report.run("find_peaks_80k_bins", 2, 20, || {
         black_box(find_peaks(&xs, &cfg));
     });
+    // The configuration `detect_in_trace` derives from
+    // `DetectorConfig::default()`, on one survey band's trace length: the
+    // wide window is where the per-bin neighbourhood cost shows.
+    let cfg = PeakConfig {
+        half_window: 30,
+        threshold_mads: 7.0,
+        min_rise: 0.5 * 8f64.ln(),
+        min_distance: 6,
+    };
+    report.run("find_peaks_10k_bins_detector", 3, 50, || {
+        black_box(find_peaks(&xs[..10_000], &cfg));
+    });
 }
 
 fn main() {

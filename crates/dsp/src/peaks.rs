@@ -59,64 +59,41 @@ impl Default for PeakConfig {
 
 /// Finds spikes in `values` per the configured Palshikar-style criterion.
 ///
-/// Returns peaks sorted by descending value. Inputs shorter than
-/// `2·half_window + 1` return no peaks.
+/// Returns peaks sorted by descending value (equal values keep index
+/// order). Inputs shorter than `2·half_window + 1` return no peaks.
+///
+/// # Cost
+///
+/// One call is O(n·w) additions in a branch-free loop that vectorises
+/// across bins (w = `half_window`), plus O(n) selection for the median
+/// and MAD and O(candidates · `min_distance`) for the suppression.
+///
+/// The neighbour means come from column window sums: each full window is
+/// still added left to right from `+0.0`, exactly as the edge bins' direct
+/// loop adds theirs, so a score has the same bits whichever path produced
+/// it. A running (prefix) sum would be O(n) but rounds differently; a
+/// moved score bit moves the MAD threshold and with it which peaks clear
+/// it, so it is not used.
 pub fn find_peaks(values: &[f64], config: &PeakConfig) -> Vec<Peak> {
     let n = values.len();
     let w = config.half_window.max(1);
     if n < 2 * w + 1 {
         return Vec::new();
     }
-
-    // Neighborhood mean over the finite samples only, so one poisoned bin
-    // (NaN/Inf from a glitched capture) cannot mask every peak near it.
-    let finite_mean = |xs: &[f64]| {
-        let mut sum = 0.0;
-        let mut count = 0usize;
-        for &x in xs {
-            if x.is_finite() {
-                sum += x;
-                count += 1;
-            }
-        }
-        (count > 0).then(|| sum / count as f64)
-    };
-
-    // Palshikar S1 score: mean of (x[i] - mean(left w)) and (x[i] - mean(right w)).
-    let mut scores = vec![0.0f64; n];
-    for i in 0..n {
-        if !values[i].is_finite() {
-            continue; // a non-finite sample can never be a peak
-        }
-        let lo = i.saturating_sub(w);
-        let hi = (i + w).min(n - 1);
-        let rise_left = finite_mean(&values[lo..i]).map_or(0.0, |m| values[i] - m);
-        let rise_right = finite_mean(&values[i + 1..=hi]).map_or(0.0, |m| values[i] - m);
-        scores[i] = 0.5 * (rise_left + rise_right);
-    }
+    let scores = palshikar_scores(values, w);
 
     // The robust threshold must be computed over the scores of *finite*
-    // samples only: non-finite samples keep the 0.0 placeholder assigned
-    // above, and on a heavily-poisoned capture those placeholders would
+    // samples only: non-finite samples score NaN, which the median and
+    // MAD skip. (A 0.0 placeholder would, on a heavily-poisoned capture,
     // drag the median toward zero and deflate the MAD, moving the
-    // threshold and changing which peaks clear it.
-    let finite_scores: Vec<f64> = values
-        .iter()
-        .zip(&scores)
-        .filter(|(x, _)| x.is_finite())
-        .map(|(_, &s)| s)
-        .collect();
-    if finite_scores.is_empty() {
-        return Vec::new();
-    }
-    let med = stats::median(&finite_scores);
-    let spread = stats::mad(&finite_scores);
+    // threshold and changing which peaks clear it.)
+    let (med, spread) = stats::median_and_mad(&scores);
     let threshold = (med + config.threshold_mads * spread).max(config.min_rise);
 
     // Candidate peaks: strict local maxima whose score clears the
     // threshold. Non-finite neighbors compare as -inf so a legitimate peak
     // beside a poisoned bin is still reported; non-finite samples
-    // themselves were given zero scores above and cannot qualify.
+    // themselves cannot qualify.
     let v = |i: usize| {
         if values[i].is_finite() {
             values[i]
@@ -135,18 +112,111 @@ pub fn find_peaks(values: &[f64], config: &PeakConfig) -> Vec<Peak> {
         })
         .collect();
 
-    // Non-maximum suppression: strongest first, knock out close neighbors.
+    // Non-maximum suppression: strongest first (a stable sort, so equal
+    // values go in index order), and a candidate survives only if no kept
+    // peak lies closer than `min_distance` — checked against a bitmap of
+    // kept indices instead of every kept peak.
     candidates.sort_by(|a, b| b.value.total_cmp(&a.value));
+    let reach = config.min_distance.max(1) - 1;
+    let mut taken = vec![false; n];
     let mut kept: Vec<Peak> = Vec::new();
     for c in candidates {
-        if kept
-            .iter()
-            .all(|k| k.index.abs_diff(c.index) >= config.min_distance.max(1))
-        {
+        let lo = c.index.saturating_sub(reach);
+        let hi = c.index.saturating_add(reach).min(n - 1);
+        if !taken[lo..=hi].contains(&true) {
+            taken[c.index] = true;
             kept.push(c);
         }
     }
     kept
+}
+
+/// Windows summed per column pass in [`palshikar_scores`]: their sums and
+/// the samples under them stay in L1.
+const WINDOW_BLOCK: usize = 1024;
+
+/// Palshikar S1 score of every sample: `0.5 · (rise_left + rise_right)`,
+/// where a rise is `x[i] − mean` of the `w` neighbours on that side, each
+/// mean taken over its finite samples only, so one poisoned bin (NaN/Inf
+/// from a glitched capture) cannot mask every peak near it. A side with no
+/// finite sample adds no rise; a non-finite sample scores NaN (it has no
+/// score and can never be a peak). Needs `values.len() >= 2·w + 1`.
+fn palshikar_scores(values: &[f64], w: usize) -> Vec<f64> {
+    let n = values.len();
+    let rise = |x: f64, mean: Option<f64>| {
+        if x.is_finite() {
+            mean.map_or(0.0, |m| x - m)
+        } else {
+            f64::NAN
+        }
+    };
+    // Mean of the finite samples, added left to right from `+0.0`.
+    let direct_mean = |xs: &[f64]| {
+        let mut sum = 0.0;
+        let mut count = 0usize;
+        for &x in xs {
+            if x.is_finite() {
+                sum += x;
+                count += 1;
+            }
+        }
+        (count > 0).then(|| sum / count as f64)
+    };
+
+    // `scores[i]` first holds bin i's left rise; the right rise is added
+    // (and the sum halved) once it is known. The first `w` bins have a
+    // truncated left neighbourhood, summed directly.
+    let mut scores = vec![0.0f64; n];
+    for (i, (score, &x)) in scores.iter_mut().zip(&values[..w]).enumerate() {
+        *score = rise(x, direct_mean(&values[..i]));
+    }
+
+    // Window `s` is `values[s..s + w]`: the left neighbourhood of bin
+    // `s + w` and the right one of bin `s − 1`. Summing column by column
+    // (`k` outer, `s` inner, over a cache-sized block of windows)
+    // vectorises across windows while each window is still added left to
+    // right from `+0.0` — the same order `direct_mean` uses, so a mean has
+    // the same bits whichever path computes it. A non-finite sample adds
+    // `+0.0`, which leaves a sum that started at `+0.0` bit-unchanged (it
+    // can never have become `−0.0`).
+    let windows = n + 1 - w;
+    let finite = |x: f64| usize::from(x.is_finite());
+    let finite_or_zero = |&x: &f64| if x.is_finite() { x } else { 0.0 };
+    let mut count: usize = values[..w].iter().map(|&x| finite(x)).sum();
+    let mut sums = [0.0f64; WINDOW_BLOCK];
+    let mut masked = Vec::with_capacity(WINDOW_BLOCK + w - 1);
+    for start in (0..windows).step_by(WINDOW_BLOCK) {
+        let block = &mut sums[..WINDOW_BLOCK.min(windows - start)];
+        masked.clear();
+        masked.extend(
+            values[start..start + block.len() + w - 1]
+                .iter()
+                .map(finite_or_zero),
+        );
+        block.fill(0.0);
+        for k in 0..w {
+            for (sum, &x) in block.iter_mut().zip(&masked[k..]) {
+                *sum += x;
+            }
+        }
+        for (s, &sum) in (start..).zip(block.iter()) {
+            let mean = (count > 0).then(|| sum / count as f64);
+            if let Some(j) = s.checked_sub(1) {
+                scores[j] = 0.5 * (scores[j] + rise(values[j], mean));
+            }
+            if let Some(&x) = values.get(s + w) {
+                scores[s + w] = rise(x, mean);
+                // Slide the (exact, integer) finite count to window s + 1.
+                count = count + finite(x) - finite(values[s]);
+            }
+        }
+    }
+
+    // The last `w` bins have a truncated right neighbourhood.
+    for (i, &x) in values.iter().enumerate().skip(n - w) {
+        scores[i] = 0.5 * (scores[i] + rise(x, direct_mean(&values[i + 1..])));
+    }
+    scores
 }
 
 /// Refines a peak's position by fitting a parabola through the peak bin and
@@ -287,6 +357,91 @@ mod tests {
     fn all_nan_input_has_no_peaks() {
         let x = vec![f64::NAN; 100];
         assert!(find_peaks(&x, &PeakConfig::default()).is_empty());
+    }
+
+    #[test]
+    fn shortest_scored_input_is_two_windows_and_a_sample() {
+        // n == 2w+1: only the centre bin has full windows on both sides.
+        let cfg = PeakConfig {
+            half_window: 2,
+            ..PeakConfig::default()
+        };
+        let peaks = find_peaks(&[1.0, 1.0, 5.0, 1.0, 1.0], &cfg);
+        assert_eq!(
+            peaks,
+            vec![Peak {
+                index: 2,
+                value: 5.0,
+                score: 4.0
+            }]
+        );
+        assert!(find_peaks(&[1.0, 1.0, 5.0, 1.0], &cfg).is_empty());
+    }
+
+    #[test]
+    fn a_window_with_no_finite_sample_adds_no_rise() {
+        // Bin 3's left window is all NaN, so its score is half the right
+        // rise: 0.5 · (0 + (5 − 1)) = 2.
+        let x = [1.0, f64::NAN, f64::NAN, 5.0, 1.0, 1.0, 1.0, 1.0, 1.0];
+        let cfg = PeakConfig {
+            half_window: 2,
+            ..PeakConfig::default()
+        };
+        let peaks = find_peaks(&x, &cfg);
+        assert_eq!(peaks.len(), 1, "peaks: {peaks:?}");
+        assert_eq!((peaks[0].index, peaks[0].score), (3, 2.0));
+    }
+
+    #[test]
+    fn zero_half_window_is_treated_as_one() {
+        let with = |half_window| PeakConfig {
+            half_window,
+            ..PeakConfig::default()
+        };
+        let x = flat_with_spikes(120, &[(30, 9.0), (31, 4.0), (90, 12.0)]);
+        assert_eq!(find_peaks(&x, &with(0)), find_peaks(&x, &with(1)));
+        assert_eq!(find_peaks(&[1.0, 5.0, 1.0], &with(0)).len(), 1);
+        assert!(find_peaks(&[1.0, 5.0], &with(0)).is_empty());
+    }
+
+    #[test]
+    fn min_distance_zero_and_one_keep_the_closest_candidates() {
+        // Two strict local maxima are at least two bins apart; with a
+        // spacing of 0 or 1 both survive, from 3 on only the higher one.
+        let x = flat_with_spikes(100, &[(50, 20.0), (52, 25.0)]);
+        let spaced = |min_distance| {
+            let cfg = PeakConfig {
+                min_distance,
+                ..PeakConfig::default()
+            };
+            find_peaks(&x, &cfg)
+                .iter()
+                .map(|p| p.index)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(spaced(0), vec![52, 50]);
+        assert_eq!(spaced(1), vec![52, 50]);
+        assert_eq!(spaced(2), vec![52, 50]);
+        assert_eq!(spaced(3), vec![52]);
+    }
+
+    #[test]
+    fn equal_candidates_keep_index_order() {
+        // Equal values sort stably, so the lower index goes first and is
+        // the one that survives suppression.
+        let x = flat_with_spikes(100, &[(40, 20.0), (42, 20.0), (70, 20.0)]);
+        let spaced = |min_distance| {
+            let cfg = PeakConfig {
+                min_distance,
+                ..PeakConfig::default()
+            };
+            find_peaks(&x, &cfg)
+                .iter()
+                .map(|p| p.index)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(spaced(2), vec![40, 42, 70]);
+        assert_eq!(spaced(3), vec![40, 70]);
     }
 
     #[test]

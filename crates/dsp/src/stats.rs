@@ -22,7 +22,8 @@ pub fn std_dev(xs: &[f64]) -> f64 {
     variance(xs).sqrt()
 }
 
-/// Median (by sorting a copy). Returns 0.0 for an empty slice.
+/// Median of the finite elements, found by selection on a copy (O(n)
+/// expected; see [`percentile`]). Returns 0.0 if no finite elements remain.
 pub fn median(xs: &[f64]) -> f64 {
     percentile(xs, 50.0)
 }
@@ -32,36 +33,61 @@ pub fn median(xs: &[f64]) -> f64 {
 /// are ignored rather than poisoning the estimate).
 /// Returns 0.0 if no finite elements remain.
 ///
+/// The two order statistics are found by selection rather than a full
+/// sort, so this is O(n) expected; the result is bit-identical to
+/// interpolating in a `total_cmp`-sorted copy.
+///
 /// # Panics
 ///
 /// Panics if `p` is outside `[0, 100]` or NaN.
 pub fn percentile(xs: &[f64], p: f64) -> f64 {
     assert!((0.0..=100.0).contains(&p), "percentile must be in [0,100]");
-    let mut sorted: Vec<f64> = xs.iter().copied().filter(|x| x.is_finite()).collect();
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    sorted.sort_by(f64::total_cmp);
-    let rank = p / 100.0 * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    if lo == hi {
-        sorted[lo]
-    } else {
-        let frac = rank - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-    }
+    select_percentile(&mut finite_copy(xs), p)
 }
 
 /// Median absolute deviation — a robust spread estimate, used by the peak
 /// detector to set thresholds that survive strong outlier peaks.
 pub fn mad(xs: &[f64]) -> f64 {
+    median_and_mad(xs).1
+}
+
+/// [`median`] and [`mad`] of `xs` together, from one copy of its finite
+/// elements (bit-identical to calling both).
+pub(crate) fn median_and_mad(xs: &[f64]) -> (f64, f64) {
+    let mut finite = finite_copy(xs);
+    let m = select_percentile(&mut finite, 50.0);
+    for x in &mut finite {
+        *x = (*x - m).abs();
+    }
+    // A deviation between two huge finite values can overflow to +Inf;
+    // like a non-finite element, it does not take part.
+    finite.retain(|d| d.is_finite());
+    (m, select_percentile(&mut finite, 50.0))
+}
+
+fn finite_copy(xs: &[f64]) -> Vec<f64> {
+    xs.iter().copied().filter(|x| x.is_finite()).collect()
+}
+
+/// Percentile `p` of `xs` (all finite; reordered in place), or 0.0 if
+/// empty. `select_nth_unstable_by` places the lower order statistic, and
+/// the upper one is the `total_cmp` minimum of the partition above it.
+/// Elements equal under `total_cmp` have the same bits, so the result does
+/// not depend on how selection orders them.
+fn select_percentile(xs: &mut [f64], p: f64) -> f64 {
     if xs.is_empty() {
         return 0.0;
     }
-    let m = median(xs);
-    let deviations: Vec<f64> = xs.iter().map(|x| (x - m).abs()).collect();
-    median(&deviations)
+    let rank = p / 100.0 * (xs.len() - 1) as f64;
+    let lo = rank.floor() as usize;
+    let hi = rank.ceil() as usize;
+    let (_, &mut lo_v, upper) = xs.select_nth_unstable_by(lo, f64::total_cmp);
+    if lo == hi {
+        return lo_v;
+    }
+    let hi_v = upper.iter().copied().min_by(f64::total_cmp).unwrap_or(lo_v);
+    let frac = rank - lo as f64;
+    lo_v * (1.0 - frac) + hi_v * frac
 }
 
 /// Index of the maximum *finite* element; `None` for an empty slice or

@@ -42,10 +42,11 @@ cargo build --workspace --release --offline
 echo "==> cargo test"
 cargo test --workspace --offline -q
 
-echo "==> DSP property tests (rfft + sliding-DFT seam equivalence)"
-# Belt and braces: these two suites gate the FFT/synthesis hot-path
-# rework and must run even if someone narrows the workspace test run.
+echo "==> DSP property tests (rfft, sliding-DFT seam, peak bit-identity)"
+# Belt and braces: these suites gate the FFT/synthesis and peak-detection
+# hot-path rework and must run even if someone narrows the workspace test run.
 cargo test --offline --release -q -p fase-dsp --test rfft_properties
+cargo test --offline --release -q -p fase-dsp --test peaks_properties
 cargo test --offline --release -q -p fase-specan sliding
 
 echo "==> capture/synth perf regression gate"
